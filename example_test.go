@@ -59,8 +59,8 @@ func ExampleRun_events() {
 		fmt.Printf("run %d of k=100 finished in %d slots\n", run, slots[run])
 	}
 	// Output:
-	// run 0 of k=100 finished in 604 slots
-	// run 1 of k=100 finished in 601 slots
+	// run 0 of k=100 finished in 595 slots
+	// run 1 of k=100 finished in 611 slots
 }
 
 // ExampleEvaluateDynamic measures sustained throughput under dynamic
@@ -114,6 +114,6 @@ func ExampleRun_adaptivePrecision() {
 	fmt.Printf("k=%d converged after %d of at most 64 replications\n", cell.K, cell.RepsUsed)
 	fmt.Printf("mean slots %.1f ± %.1f (95%% CI)\n", cell.MeanSlots, cell.CI95)
 	// Output:
-	// k=300 converged after 19 of at most 64 replications
-	// mean slots 1607.3 ± 150.0 (95% CI)
+	// k=300 converged after 9 of at most 64 replications
+	// mean slots 1449.0 ± 124.7 (95% CI)
 }

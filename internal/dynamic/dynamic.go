@@ -23,10 +23,11 @@
 // (fair) protocols run on the exact per-node simulator and are meant for
 // moderate sizes. Windowed (back-off) protocols are oblivious to the
 // channel between their own transmissions, which admits an event-driven
-// fast path (RunWindowEvent): transmissions are scheduled into a min-heap
-// keyed by slot and the engine jumps between occupied slots in O(log n)
-// per event, scaling dynamic workloads to millions of messages while
-// remaining exact in distribution (see event.go).
+// fast path (RunWindowEvent): transmissions are scheduled into a
+// kernel.Calendar timing wheel and the engine jumps between occupied
+// slots in amortized O(1) per event, scaling dynamic workloads to
+// millions of messages while remaining exact in distribution (see
+// event.go).
 package dynamic
 
 import (

@@ -27,15 +27,15 @@ func TestGoldenCompletions(t *testing.T) {
 		{protocol: "ofa", k: 7, want: 24},
 		{protocol: "ofa", k: 64, want: 438},
 		{protocol: "ofa", k: 513, want: 3714},
-		{protocol: "ebb", k: 7, want: 15},
-		{protocol: "ebb", k: 64, want: 330},
-		{protocol: "ebb", k: 513, want: 2707},
+		{protocol: "ebb", k: 7, want: 23},
+		{protocol: "ebb", k: 64, want: 340},
+		{protocol: "ebb", k: 513, want: 2658},
 		{protocol: "lfa", k: 7, want: 17},
 		{protocol: "lfa", k: 64, want: 13838},
 		{protocol: "lfa", k: 513, want: 80973},
-		{protocol: "llib", k: 7, want: 33},
-		{protocol: "llib", k: 64, want: 251},
-		{protocol: "llib", k: 513, want: 3421},
+		{protocol: "llib", k: 7, want: 13},
+		{protocol: "llib", k: 64, want: 260},
+		{protocol: "llib", k: 513, want: 2968},
 		{protocol: "tree", k: 7, want: 15},
 		{protocol: "tree", k: 64, want: 169},
 		{protocol: "tree", k: 513, want: 1453},

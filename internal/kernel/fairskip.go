@@ -31,6 +31,18 @@ import (
 // The next success is the minimum across the two classes; everything up
 // to it is skipped in O(1) via SkipController.SkipTo, which replays the
 // silent-slot bookkeeping in closed form.
+//
+// Two shortcuts keep the per-delivery cost low without changing any
+// draw's value beyond floating-point rounding:
+//
+//   - Geometric draws with q ≥ seqGeomMin invert sequentially: G ≥ n iff
+//     U ≤ (1−q)ⁿ, one multiply per failure up to the class's slot count,
+//     instead of ⌊ln U / ln(1−q)⌋ (geomDraw).
+//
+//   - The thinning test accepts a candidate when its uniform falls below
+//     a cheap lower bound on q_t/q_max (thinLowerBound) and computes the
+//     exact q_t only otherwise — a squeeze, so the accept decision is the
+//     exact test's decision.
 
 // firstResidue returns the smallest slot ≥ from with slot ≡ r (mod p).
 func firstResidue(from, p, r uint64) uint64 {
@@ -51,15 +63,80 @@ func countResidue(a, b, p, r uint64) uint64 {
 	return f(b) - f(a)
 }
 
-// geometric draws Geometric(q) — failures before the first success —
-// given the precomputed denominator denom = log(1-q) < 0, so the
-// denominator is paid once per phase instead of once per draw.
-func geometric(src *rng.Rand, denom float64) uint64 {
-	g := math.Log(src.Float64Open()) / denom
+// seqGeomMin is the smallest success probability geomDraw inverts
+// sequentially: the expected E[G] = (1−q)/q ≤ 15 multiplies then cost
+// about what the log-space draw's logarithm does.
+const seqGeomMin = 1.0 / 16
+
+// geomDraw draws capped Geometric(q) failure counts for one fixed q.
+type geomDraw struct {
+	surv  float64 // 1 − q, for sequential inversion (q ≥ seqGeomMin)
+	denom float64 // log(1 − q) < 0, for log-space inversion; 0 selects surv
+}
+
+// newGeomDraw prepares draws for success probability q ∈ (0, 1], paying
+// the log-space denominator once per phase when it is needed at all.
+func newGeomDraw(q float64) geomDraw {
+	if q >= seqGeomMin {
+		return geomDraw{surv: 1 - q}
+	}
+	return geomDraw{denom: log1m(q)}
+}
+
+// draw returns min(G, limit) for G ~ Geometric(q), consuming one uniform.
+func (d geomDraw) draw(src *rng.Rand, limit uint64) uint64 {
+	u := src.Float64Open()
+	if d.denom == 0 {
+		return seqGeometric(u, d.surv, limit)
+	}
+	return min(geometric(u, d.denom), limit)
+}
+
+// geometric inverts the Geometric(q) CDF at the uniform u ∈ (0, 1) given
+// denom = log(1−q) < 0: G = ⌊ln u / ln(1−q)⌋.
+func geometric(u, denom float64) uint64 {
+	g := math.Log(u) / denom
 	if g >= math.MaxUint64 || math.IsNaN(g) {
 		return rng.GeometricInf
 	}
 	return uint64(g)
+}
+
+// seqGeometric returns min(G, limit) for the Geometric(q) variate G at the
+// uniform u ∈ (0, 1), given surv = 1−q: the same inversion as geometric
+// (G ≥ n iff u ≤ (1−q)ⁿ) by walking n up one multiply at a time.
+func seqGeometric(u, surv float64, limit uint64) uint64 {
+	var g uint64
+	for t := surv; g < limit && u <= t; t *= surv {
+		g++
+	}
+	return g
+}
+
+// squeezeMargin keeps thinLowerBound's acceptances strictly inside the
+// exact test's, whatever the floating-point rounding of either side.
+const squeezeMargin = 1e-9
+
+// thinLowerBound returns a lower bound on P₁(m, pc)/P₁(m, pmax), where
+// pmax maximizes P₁(m, ·) over an interval holding pc. The ratio is
+// (pc/pmax)·((1−pc)/(1−pmax))^(m−1):
+//
+//   - rising side, pc ≤ pmax: the second factor is ≥ 1, so pc/pmax;
+//   - falling side, pc > pmax: the second factor is (1−x)^(m−1) with
+//     x = (pc−pmax)/(1−pmax) ∈ (0, 1], and Bernoulli's inequality gives
+//     (1−x)^(m−1) ≥ 1 − (m−1)·x.
+//
+// Candidates in a dead class (successProb's cutoff) get 0, so the squeeze
+// never accepts what the exact test rejects.
+func thinLowerBound(m int, pc, pmax float64) float64 {
+	r := pc / pmax
+	if pc <= pmax {
+		return r
+	}
+	if float64(m-1)*pc >= deadExponent {
+		return 0
+	}
+	return r * (1 - float64(m-1)*(pc-pmax)/(1-pmax))
 }
 
 // nthRegular returns the n-th slot ≥ from (0-indexed) that is NOT ≡ r
@@ -117,7 +194,7 @@ func FairRun(k int, ctrl protocol.SkipController, src *rng.Rand, maxSlots uint64
 			if qs := successProb(m, ph.SpecialProb); qs > 0 {
 				if first := firstResidue(slot, p, r); first <= end {
 					n := (end-first)/p + 1 // special slots in the phase
-					if g := geometric(src, log1m(qs)); g < n {
+					if g := newGeomDraw(qs).draw(src, n); g < n {
 						spec = first + g*p
 						specFound = true
 					}
@@ -129,8 +206,8 @@ func FairRun(k int, ctrl protocol.SkipController, src *rng.Rand, maxSlots uint64
 		var reg uint64
 		regFound := false
 		lo, hi := ph.RegularLo, ph.RegularHi
-		if qmax := maxSuccessProb(m, lo, hi); qmax > 0 {
-			denom := log1m(qmax)
+		if qmax, pmax := maxSuccessProb(m, lo, hi); qmax > 0 {
+			geo := newGeomDraw(qmax)
 			cur := slot
 			for {
 				var cnt uint64 // regular slots in [cur, end]
@@ -142,7 +219,7 @@ func FairRun(k int, ctrl protocol.SkipController, src *rng.Rand, maxSlots uint64
 				if cnt == 0 {
 					break
 				}
-				g := geometric(src, denom)
+				g := geo.draw(src, cnt)
 				if g >= cnt {
 					break // no further candidate inside the phase
 				}
@@ -153,8 +230,11 @@ func FairRun(k int, ctrl protocol.SkipController, src *rng.Rand, maxSlots uint64
 				if lo < hi {
 					// Accept with q_c/q_max (thinning); ProbQuiet is the
 					// probability at c given the quiet stretch before it.
-					q := successProb(m, ctrl.ProbQuiet(c))
-					if src.Float64()*qmax >= q {
+					// The squeeze settles most candidates without q_c.
+					pc := ctrl.ProbQuiet(c)
+					u := src.Float64()
+					if u >= thinLowerBound(m, pc, pmax)-squeezeMargin &&
+						u*qmax >= successProb(m, pc) {
 						cur = c + 1
 						continue
 					}

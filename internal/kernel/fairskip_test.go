@@ -155,3 +155,95 @@ func TestFairRunZeroK(t *testing.T) {
 		t.Errorf("FairRun(0) = (%d, %v), want (0, nil)", slots, err)
 	}
 }
+
+// TestSeqGeometricMatchesLogSpace: sequential inversion returns exactly
+// what the log-space inversion returns for the same uniform, capped at
+// the limit, over a grid of q ∈ [1/16, 1) and limits — and geomDraw
+// picks the log-space path below seqGeomMin.
+func TestSeqGeometricMatchesLogSpace(t *testing.T) {
+	t.Parallel()
+	src := rng.New(16)
+	qs := []float64{seqGeomMin, 0.07, 0.1, 0.2, 1.0 / 3, 0.5, 0.75, 0.9, 0.999, 1 - 1e-9}
+	limits := []uint64{0, 1, 2, 3, 7, 16, 100, math.MaxUint64}
+	for _, q := range qs {
+		denom := log1m(q)
+		for _, limit := range limits {
+			for i := 0; i < 20000; i++ {
+				u := src.Float64Open()
+				got := seqGeometric(u, 1-q, limit)
+				if want := min(geometric(u, denom), limit); got != want {
+					t.Fatalf("q=%v limit=%d u=%v: sequential %d, log-space %d", q, limit, u, got, want)
+				}
+			}
+		}
+	}
+	for _, q := range []float64{1e-9, 0.01, seqGeomMin * 0.999} {
+		a, b := rng.New(5), rng.New(5)
+		d := newGeomDraw(q)
+		for i := 0; i < 1000; i++ {
+			got := d.draw(a, 1000)
+			if want := min(geometric(b.Float64Open(), log1m(q)), 1000); got != want {
+				t.Fatalf("q=%v draw %d: got %d, want log-space %d", q, i, got, want)
+			}
+		}
+	}
+}
+
+// TestGeomDrawChiSquare: geomDraw's sequential regime reproduces the
+// geometric pmf P(G = g) = (1−q)^g·q, with the mass at and above the
+// limit landing on the limit.
+func TestGeomDrawChiSquare(t *testing.T) {
+	t.Parallel()
+	const draws = 200000
+	for _, tt := range []struct {
+		q     float64
+		limit uint64
+	}{
+		{q: seqGeomMin, limit: 200}, {q: 0.3, limit: 1000}, {q: 0.3, limit: 4}, {q: 0.8, limit: 50},
+	} {
+		src := rng.New(uint64(tt.q*1000) + tt.limit)
+		d := newGeomDraw(tt.q)
+		obs := make([]int, tt.limit+1)
+		for i := 0; i < draws; i++ {
+			obs[d.draw(src, tt.limit)]++
+		}
+		exp := make([]float64, tt.limit+1)
+		for g := range exp {
+			exp[g] = draws * math.Pow(1-tt.q, float64(g)) * tt.q
+		}
+		exp[tt.limit] = draws * math.Pow(1-tt.q, float64(tt.limit)) // P(G ≥ limit)
+		stat, df := chiSquare(obs, exp)
+		if crit := chiSquareCrit(df); stat > crit {
+			t.Errorf("q=%v limit=%d: χ² = %.1f > %.1f (df %d)", tt.q, tt.limit, stat, crit, df)
+		}
+	}
+}
+
+// TestThinLowerBound: the squeeze bound never exceeds the exact thinning
+// ratio P₁(m, pc)/P₁(m, pmax), for random m, pmax and pc on both sides of
+// 1/m, with pmax the clamped maximizer of P₁(m, ·) over an interval that
+// holds pc.
+func TestThinLowerBound(t *testing.T) {
+	t.Parallel()
+	src := rng.New(9)
+	for i := 0; i < 200000; i++ {
+		m := 1 + int(src.Uint64n(1<<uint(src.Uint64n(21))))
+		// An interval [lo, hi] ⊂ (0, 1) around a random scale of 1/m.
+		c := math.Pow(2, 8*src.Float64()-4) / float64(m)
+		lo := math.Min(c*src.Float64(), 0.999)
+		hi := math.Min(lo+c*src.Float64(), 0.999)
+		qmax, pmax := maxSuccessProb(m, lo, hi)
+		if qmax == 0 || lo >= hi {
+			continue
+		}
+		pc := lo + (hi-lo)*src.Float64()
+		bound := thinLowerBound(m, pc, pmax)
+		exact := SuccessProb(m, pc) / SuccessProb(m, pmax)
+		if float64(m-1)*pc >= deadExponent {
+			exact = 0 // successProb's cutoff: the exact test rejects
+		}
+		if bound > exact+1e-12 { // rounding only, far inside squeezeMargin
+			t.Fatalf("m=%d pmax=%v pc=%v: bound %v > exact ratio %v", m, pmax, pc, bound, exact)
+		}
+	}
+}

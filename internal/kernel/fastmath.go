@@ -6,10 +6,16 @@ import "math"
 // implementation and dominates profiles of the skip kernel, while
 // math.Log does; computing log(1-p) directly is safe whenever 1-p does
 // not cancel (p not tiny), and a short series covers the tiny-p range
-// with relative error below 1e-17.
+// with relative error below 1e-17. Above the series range the rounding
+// error e of a = 1−p is recovered exactly (e = (1−a)−p, both
+// subtractions exact by Sterbenz's lemma) and log(1−p) = log(a+e) is
+// corrected to first order, log a + e/a: uncorrected, that error of up
+// to 2⁻⁵³ in the log becomes a relative error of (m−1)·2⁻⁵³ in
+// (1−p)^(m−1), 10⁻¹¹ at m = 10⁵.
 func log1m(p float64) float64 {
 	if p > 1e-4 {
-		return math.Log(1 - p)
+		a := 1 - p
+		return math.Log(a) + ((1-a)-p)/a
 	}
 	return -p * (1 + p*(0.5+p*(1.0/3+p*0.25)))
 }
@@ -24,8 +30,35 @@ func log1m(p float64) float64 {
 // contend).
 const deadExponent = 64
 
+// expKnots is the number of expTable knots per unit of exponent.
+const expKnots = 64
+
+// expTable[i] = e^(−i/64) for i ∈ [0, 64·deadExponent].
+var expTable = func() (t [expKnots*deadExponent + 1]float64) {
+	for i := range t {
+		t[i] = math.Exp(-float64(i) / expKnots)
+	}
+	return t
+}()
+
+// expNeg returns e^(−y) for y ≥ 0. Below deadExponent it splits
+// y = i/64 + r with r ∈ [0, 1/64), both parts exact in floating point,
+// and multiplies the tabulated e^(−i/64) by the degree-7 Taylor
+// polynomial of e^(−r), whose truncation error r⁸/8! < 10⁻¹⁹ is far
+// under one ulp: the result is within a few ulps of math.Exp(−y) at a
+// fraction of its cost. Larger y (and NaN) fall back to math.Exp.
+func expNeg(y float64) float64 {
+	if !(y < deadExponent) {
+		return math.Exp(-y)
+	}
+	i := int(y * expKnots)
+	r := y - float64(i)/expKnots
+	p := 1 - r*(1-r*(1.0/2-r*(1.0/6-r*(1.0/24-r*(1.0/120-r*(1.0/720-r*(1.0/5040)))))))
+	return expTable[i] * p
+}
+
 // successProb is the kernel-internal fast path of SuccessProb: identical
-// except for the dead-class cutoff and the log1m fast path.
+// except for the dead-class cutoff and the log1m and expNeg fast paths.
 func successProb(m int, p float64) float64 {
 	switch {
 	case m <= 0 || p <= 0:
@@ -39,6 +72,6 @@ func successProb(m int, p float64) float64 {
 		if e >= deadExponent {
 			return 0
 		}
-		return float64(m) * p * math.Exp(float64(m-1)*log1m(p))
+		return float64(m) * p * expNeg(-float64(m-1)*log1m(p))
 	}
 }

@@ -65,8 +65,9 @@ func SuccessProb(m int, p float64) float64 {
 // maxSuccessProb bounds SuccessProb(m, p) over p ∈ [lo, hi]. P₁(m, ·) is
 // unimodal with its maximum at p = 1/m (and monotone increasing for
 // m = 1, where 1/m = 1 is the right endpoint), so the bound is attained
-// at 1/m clamped into the interval.
-func maxSuccessProb(m int, lo, hi float64) float64 {
+// at 1/m clamped into the interval. It returns the bound and the
+// maximizing probability.
+func maxSuccessProb(m int, lo, hi float64) (qmax, pmax float64) {
 	p := 1 / float64(m)
 	if p < lo {
 		p = lo
@@ -74,5 +75,5 @@ func maxSuccessProb(m int, lo, hi float64) float64 {
 	if p > hi {
 		p = hi
 	}
-	return successProb(m, p)
+	return successProb(m, p), p
 }

@@ -11,9 +11,10 @@ import (
 // the singleton bins are deliveries. Three exact samplers cover the three
 // regimes:
 //
-//   - stepByBall, O(m): sample each ball's bin. A bounded uniform costs
-//     roughly a tenth of a binomial draw (which pays an exp and a log for
-//     its q^n factor), so this wins up to m ≈ ballBinCostRatio·w.
+//   - stepByBall, O(m): sample each ball's bin, two bins per random word
+//     (binPair). A bounded uniform costs roughly a tenth of a binomial
+//     draw (which pays an exp and a log for its q^n factor), so this wins
+//     up to m ≈ ballBinCostRatio·w.
 //
 //   - stepByBin, O(w): sample occupancies in slot order via the binomial
 //     chain N_j ~ Binomial(remaining, 1/(w−j+1)). Cheapest when m ≫ w
@@ -87,20 +88,21 @@ func (o *Window) Step(m, w int, src *rng.Rand) (delivered, last int) {
 	return stepByBin(m, w, src)
 }
 
-// stepByBall samples each ball's bin: O(m) uniforms. Used when m is not
-// much larger than w. Correct for any m, w ≥ 1.
+// stepByBall samples each ball's bin: O(m) uniforms, two per random word
+// (binPair). Used when m is not much larger than w. Correct for any
+// m, w ≥ 1.
 func (o *Window) stepByBall(m, w int, src *rng.Rand) (delivered, last int) {
 	if cap(o.counts) < w {
 		o.counts = make([]int32, w)
 	}
 	counts := o.counts[:w]
 	o.touched = o.touched[:0]
-	for i := 0; i < m; i++ {
-		b := int32(src.Uint64n(uint64(w)))
-		if counts[b] == 0 {
-			o.touched = append(o.touched, b)
+	for i := 0; i < m; i += 2 {
+		b0, b1 := binPair(src, uint64(w))
+		o.throw(counts, int32(b0))
+		if i+1 < m { // odd m: the last pair's second bin goes unused
+			o.throw(counts, int32(b1))
 		}
-		counts[b]++
 	}
 	for _, b := range o.touched {
 		if counts[b] == 1 {
@@ -112,6 +114,54 @@ func (o *Window) stepByBall(m, w int, src *rng.Rand) (delivered, last int) {
 		counts[b] = 0
 	}
 	return delivered, last
+}
+
+// throw lands one ball in bin b.
+func (o *Window) throw(counts []int32, b int32) {
+	if counts[b] == 0 {
+		o.touched = append(o.touched, b)
+	}
+	counts[b]++
+}
+
+// binPair returns two independent uniform bins in [0, w), w ≥ 1, from one
+// random word when it can: each 32-bit half r maps to the bin ⌊r·w/2³²⌋
+// by Lemire's multiply-shift, which is exactly uniform once halves whose
+// low product word falls below 2³² mod w are rejected. A low word ≥ w
+// is never rejected (2³² mod w < w), so the common case needs neither
+// the modulo nor a second word; binPairSlow handles the rest.
+func binPair(src *rng.Rand, w uint64) (uint64, uint64) {
+	x := src.Uint64()
+	lo, hi := uint64(uint32(x))*w, (x>>32)*w
+	if uint32(lo) >= uint32(w) && uint32(hi) >= uint32(w) && w < 1<<31 {
+		return lo >> 32, hi >> 32
+	}
+	return binPairSlow(src, w, x)
+}
+
+// binPairSlow finishes binPair from the word x: it runs the full Lemire
+// rejection over the halves of x and, as needed, of further words, and
+// returns the first two accepted bins. Windows of 2³¹ bins or more
+// (beyond the int32 bin index) draw each bin with Uint64n instead.
+func binPairSlow(src *rng.Rand, w, x uint64) (uint64, uint64) {
+	if w >= 1<<31 {
+		return src.Uint64n(w), src.Uint64n(w)
+	}
+	w32 := uint32(w)
+	thresh := -w32 % w32 // 2³² mod w
+	var bins [2]uint64
+	n := 0
+	for {
+		for _, r := range [2]uint32{uint32(x), uint32(x >> 32)} {
+			if prod := uint64(r) * w; uint32(prod) >= thresh {
+				bins[n] = prod >> 32
+				if n++; n == 2 {
+					return bins[0], bins[1]
+				}
+			}
+		}
+		x = src.Uint64()
+	}
 }
 
 // stepByBin samples bin occupancies in slot order via the binomial chain

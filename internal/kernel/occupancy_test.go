@@ -196,3 +196,90 @@ func TestStepDeadWindow(t *testing.T) {
 		t.Fatalf("dead window consumed randomness: next draw %d, want %d", got, before)
 	}
 }
+
+// TestBinPairChiSquare: both bins of a pair are uniform over [0, w) for
+// non-power-of-two w, checked on 64 equal-width ranges (a bias toward
+// low or high bins) and on the residues mod 60 (the periodic bias of an
+// unrejected multiply-shift), plus the joint residue mod 6 of the pair
+// (dependence between its halves). The widths include heavy rejection:
+// 2³² mod w is about w/4 at w = 2³⁰+1, and at w = 3·2²⁹ skipping the
+// rejection would give the bins ≡ 2 (mod 3) two preimages, not three.
+func TestBinPairChiSquare(t *testing.T) {
+	t.Parallel()
+	const draws = 200000
+	for _, w := range []uint64{3, 7, 100, 1000, 12345, 1<<30 + 1, 3 << 29, 1<<31 - 1} {
+		src := rng.New(w)
+		ranges, mod := min(w, 64), min(w, 60)
+		rangeObs := [2][]int{make([]int, ranges), make([]int, ranges)}
+		residueObs := [2][]int{make([]int, mod), make([]int, mod)}
+		jointObs := make([]int, 36)
+		for i := 0; i < draws; i++ {
+			b0, b1 := binPair(src, w)
+			if b0 >= w || b1 >= w {
+				t.Fatalf("w=%d: bins (%d, %d) out of range", w, b0, b1)
+			}
+			for j, b := range [2]uint64{b0, b1} {
+				rangeObs[j][b*ranges/w]++
+				residueObs[j][b%mod]++
+			}
+			jointObs[b0%6*6+b1%6]++
+		}
+		// Expected counts from the number of bins in each cell: range c
+		// holds b ∈ [⌈c·w/ranges⌉, ⌈(c+1)·w/ranges⌉), residue c holds
+		// ⌈(w−c)/mod⌉ bins.
+		rangeExp := make([]float64, ranges)
+		for c := range rangeExp {
+			lo, hi := (uint64(c)*w+ranges-1)/ranges, (uint64(c+1)*w+ranges-1)/ranges
+			rangeExp[c] = draws * float64(hi-lo) / float64(w)
+		}
+		residueMass := make([]float64, mod)
+		residueExp := make([]float64, mod)
+		for c := range residueMass {
+			residueMass[c] = float64((w-uint64(c)+mod-1)/mod) / float64(w)
+			residueExp[c] = draws * residueMass[c]
+		}
+		jointExp := make([]float64, 36)
+		for c0, m0 := range residueMass {
+			for c1, m1 := range residueMass {
+				jointExp[c0%6*6+c1%6] += draws * m0 * m1
+			}
+		}
+		check := func(name string, obs []int, exp []float64) {
+			stat, df := chiSquare(obs, exp)
+			if crit := chiSquareCrit(df); stat > crit {
+				t.Errorf("w=%d %s: χ² = %.1f > %.1f (df %d)", w, name, stat, crit, df)
+			}
+		}
+		for j, name := range []string{"first bin", "second bin"} {
+			check(name+" ranges", rangeObs[j], rangeExp)
+			check(name+" residues", residueObs[j], residueExp)
+		}
+		check("joint residues", jointObs, jointExp)
+	}
+}
+
+// TestBinPairWordSplit: without rejection (power-of-two w) each pair is
+// the two halves of one random word, low half first; at w ≥ 2³¹ each bin
+// is one Uint64n draw after the discarded first word.
+func TestBinPairWordSplit(t *testing.T) {
+	t.Parallel()
+	const w = 1 << 10
+	a, b := rng.New(4), rng.New(4)
+	for i := 0; i < 1000; i++ {
+		x := b.Uint64()
+		lo, hi := binPair(a, w)
+		if lo != uint64(uint32(x))*w>>32 || hi != (x>>32)*w>>32 {
+			t.Fatalf("word %d: bins (%d, %d) from %#x", i, lo, hi, x)
+		}
+	}
+	for _, wide := range []uint64{1 << 31, 3<<31 + 5} {
+		a, b := rng.New(wide), rng.New(wide)
+		for i := 0; i < 1000; i++ {
+			b.Uint64()
+			want0, want1 := b.Uint64n(wide), b.Uint64n(wide)
+			if got0, got1 := binPair(a, wide); got0 != want0 || got1 != want1 {
+				t.Fatalf("w=%d pair %d: (%d, %d), want Uint64n's (%d, %d)", wide, i, got0, got1, want0, want1)
+			}
+		}
+	}
+}

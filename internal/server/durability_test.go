@@ -33,6 +33,25 @@ func specParts(t *testing.T, kind spec.ExperimentKind, body string) (key string,
 	return key, params
 }
 
+// waitTerminalRecord polls the store until job id's record is terminal
+// and returns it. A worker makes the terminal status visible in memory
+// (finish) before it persists the terminal record, so a poll that sees
+// the job done can still read the running record for a moment.
+func waitTerminalRecord(t *testing.T, st store.Store, id string) (store.JobRecord, bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		rec, ok, err := st.GetJob(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (ok && store.TerminalStatus(rec.Status)) || !time.Now().Before(deadline) {
+			return rec, ok
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestSubmitPersistsQueuedRecordBeforeResponse(t *testing.T) {
 	st, err := store.OpenFile(t.TempDir())
 	if err != nil {
@@ -52,7 +71,7 @@ func TestSubmitPersistsQueuedRecordBeforeResponse(t *testing.T) {
 	}
 	close(gate)
 	waitDone(t, ts.URL, sub.ID)
-	rec, ok, _ = st.GetJob(sub.ID)
+	rec, ok = waitTerminalRecord(t, st, sub.ID)
 	if !ok || rec.Status != store.StatusDone {
 		t.Fatalf("terminal record = %+v (ok=%v)", rec, ok)
 	}
@@ -113,7 +132,7 @@ func TestRecoveryRequeuesLeaseExpiredRecord(t *testing.T) {
 		t.Fatalf("lease-expired job = %s (%s)", v.Status, v.Error)
 	}
 	// The requeue cost one retry, recorded durably.
-	final, ok, _ := st.GetJob(rec.ID)
+	final, ok := waitTerminalRecord(t, st, rec.ID)
 	if !ok || final.Status != store.StatusDone || final.Retries != 1 {
 		t.Fatalf("final record = %+v (ok=%v)", final, ok)
 	}
