@@ -119,8 +119,8 @@ type WindowResult struct {
 }
 
 // WindowRunner simulates windowed protocols. The zero value is ready to
-// use; reusing a runner across executions amortizes its scratch buffers
-// (which reach O(max window) size).
+// use; reusing a runner across executions amortizes its scratch buffer
+// (w/32 bytes for the largest window w).
 //
 // Window sampling is delegated to kernel.Window, which picks per window
 // among an O(m) ball-by-ball sampler, an O(w) binomial-chain sampler, and

@@ -140,23 +140,29 @@ func thinLowerBound(m int, pc, pmax float64) float64 {
 }
 
 // nthRegular returns the n-th slot ≥ from (0-indexed) that is NOT ≡ r
-// (mod p). For p ≤ 1 every slot is regular.
+// (mod p), r < p. For p ≤ 1 every slot is regular. Otherwise each period
+// holds p−1 regular slots: with from moved off a special slot and pos ∈
+// [1, p−1] its offset past the special residue, the answer is n regular
+// slots on plus one special slot per period crossed.
 func nthRegular(from, n, p, r uint64) uint64 {
-	if p <= 1 {
+	switch {
+	case p <= 1:
 		return from + n
-	}
-	if from%p == r {
-		from++
-	}
-	per := p - 1 // regular slots per period
-	s := from + (n/per)*p
-	for i := n % per; i > 0; i-- {
-		s++
-		if s%p == r {
-			s++
+	case p == 2:
+		if from&1 == r {
+			from++
 		}
+		return from + 2*n
 	}
-	return s
+	pos := from%p + p - r
+	if pos >= p {
+		pos -= p
+	}
+	if pos == 0 {
+		from++
+		pos = 1
+	}
+	return from + n + (pos-1+n)/(p-1)
 }
 
 // FairRun simulates static k-selection under the fair protocol ctrl and
@@ -209,16 +215,11 @@ func FairRun(k int, ctrl protocol.SkipController, src *rng.Rand, maxSlots uint64
 		if qmax, pmax := maxSuccessProb(m, lo, hi); qmax > 0 {
 			geo := newGeomDraw(qmax)
 			cur := slot
-			for {
-				var cnt uint64 // regular slots in [cur, end]
-				if p <= 1 {
-					cnt = end - cur + 1
-				} else {
-					cnt = (end + 1 - cur) - countResidue(cur, end+1, p, r)
-				}
-				if cnt == 0 {
-					break
-				}
+			cnt := end + 1 - cur // regular slots in [cur, end]
+			if p > 1 {
+				cnt -= countResidue(cur, end+1, p, r)
+			}
+			for cnt > 0 {
 				g := geo.draw(src, cnt)
 				if g >= cnt {
 					break // no further candidate inside the phase
@@ -236,6 +237,7 @@ func FairRun(k int, ctrl protocol.SkipController, src *rng.Rand, maxSlots uint64
 					if u >= thinLowerBound(m, pc, pmax)-squeezeMargin &&
 						u*qmax >= successProb(m, pc) {
 						cur = c + 1
+						cnt -= g + 1 // the candidate and the g regular slots before it
 						continue
 					}
 				}

@@ -11,12 +11,16 @@ import (
 )
 
 // TestResidueArithmetic cross-checks firstResidue, countResidue and
-// nthRegular against brute-force enumeration over small ranges.
+// nthRegular against brute-force enumeration over small ranges: periods
+// 1 (no special class) through 10 (Log-Fails Adaptive (10)), with start
+// slots and candidate indices running across several periods.
 func TestResidueArithmetic(t *testing.T) {
 	t.Parallel()
-	for _, p := range []uint64{2, 3, 5, 7} {
+	for _, p := range []uint64{1, 2, 3, 5, 7, 10} {
+		span := 5*p + 10 // start slots and candidate indices cover ≥ 5 periods
 		for r := uint64(0); r < p; r++ {
-			for a := uint64(0); a < 40; a++ {
+			regular := func(s uint64) bool { return p <= 1 || s%p != r }
+			for a := uint64(0); a < span; a++ {
 				// firstResidue: smallest slot ≥ a with slot ≡ r (mod p).
 				want := a
 				for want%p != r {
@@ -26,7 +30,7 @@ func TestResidueArithmetic(t *testing.T) {
 					t.Fatalf("firstResidue(%d,%d,%d) = %d, want %d", a, p, r, got, want)
 				}
 				// countResidue over [a, b).
-				for b := a; b < a+30; b++ {
+				for b := a; b < a+span; b++ {
 					cnt := uint64(0)
 					for s := a; s < b; s++ {
 						if s%p == r {
@@ -38,10 +42,10 @@ func TestResidueArithmetic(t *testing.T) {
 					}
 				}
 				// nthRegular: n-th slot ≥ a (0-indexed) not ≡ r (mod p).
-				for n := uint64(0); n < 25; n++ {
+				for n := uint64(0); n < span; n++ {
 					s, left := a, n
 					for {
-						if s%p != r {
+						if regular(s) {
 							if left == 0 {
 								break
 							}
@@ -56,9 +60,9 @@ func TestResidueArithmetic(t *testing.T) {
 			}
 		}
 	}
-	// Period ≤ 1: every slot is regular.
-	if got := nthRegular(10, 5, 1, 0); got != 15 {
-		t.Fatalf("nthRegular period 1: %d, want 15", got)
+	// Period 0 means no special class, like period 1.
+	if got := nthRegular(10, 5, 0, 0); got != 15 {
+		t.Fatalf("nthRegular period 0: %d, want 15", got)
 	}
 }
 
@@ -133,6 +137,79 @@ func TestFairRunConstantController(t *testing.T) {
 				t.Errorf("mean completion %.2f, want %.2f ± %.2f", got, want, tol)
 			}
 		})
+	}
+}
+
+// phaseCtrl is a synthetic skip controller with short phases, a special
+// class on slots ≡ 1 (mod 3) and a regular class whose probability
+// alternates between lo and hi in pairs of slots, so the thinning test
+// rejects often. It records the first call that breaks the kernel's side
+// of the contract: a ProbQuiet on a special slot or past the phase's End,
+// or a delivery past the End.
+type phaseCtrl struct {
+	span, end       uint64
+	special, lo, hi float64
+	bad             error
+}
+
+func (c *phaseCtrl) fail(format string, args ...any) {
+	if c.bad == nil {
+		c.bad = fmt.Errorf(format, args...)
+	}
+}
+
+func (c *phaseCtrl) Prob(s uint64) float64 {
+	if s%3 == 1 {
+		return c.special
+	}
+	return c.ProbQuiet(s)
+}
+func (c *phaseCtrl) Observe(s uint64, success bool) {
+	if s > c.end {
+		c.fail("delivery at slot %d past the phase end %d", s, c.end)
+	}
+}
+func (c *phaseCtrl) ProbQuiet(s uint64) float64 {
+	if s%3 == 1 || s > c.end {
+		c.fail("ProbQuiet(%d) outside the regular slots of a phase ending at %d", s, c.end)
+	}
+	if s%4 < 2 {
+		return c.lo
+	}
+	return c.hi
+}
+func (c *phaseCtrl) SkipTo(uint64) {}
+func (c *phaseCtrl) SkipPhase(slot uint64) protocol.SkipPhase {
+	c.end = slot + c.span - 1
+	return protocol.SkipPhase{
+		End:            c.end,
+		Period:         3,
+		SpecialResidue: 1,
+		SpecialProb:    c.special,
+		RegularLo:      c.lo,
+		RegularHi:      c.hi,
+	}
+}
+
+// TestFairRunStaysInPhase: after every rejected thinning candidate the
+// kernel draws the next one among the regular slots left in the phase,
+// never past its End, across phase lengths from one slot to several
+// periods and rejection rates near zero to near one.
+func TestFairRunStaysInPhase(t *testing.T) {
+	t.Parallel()
+	src := rng.New(21)
+	for _, span := range []uint64{1, 2, 3, 5, 8, 13, 40} {
+		for _, k := range []int{1, 2, 5, 30} {
+			for i := 0; i < 200; i++ {
+				ctrl := &phaseCtrl{span: span, special: 0.02, lo: 0.002, hi: 0.5}
+				if _, err := FairRun(k, ctrl, src, 10_000_000); err != nil {
+					t.Fatal(err)
+				}
+				if ctrl.bad != nil {
+					t.Fatalf("span=%d k=%d run %d: %v", span, k, i, ctrl.bad)
+				}
+			}
+		}
 	}
 }
 

@@ -3,19 +3,27 @@ package kernel
 import "math"
 
 // log1m returns log(1-p) for p ∈ [0, 1). math.Log1p has no assembly
-// implementation and dominates profiles of the skip kernel, while
-// math.Log does; computing log(1-p) directly is safe whenever 1-p does
-// not cancel (p not tiny), and a short series covers the tiny-p range
-// with relative error below 1e-17. Above the series range the rounding
-// error e of a = 1−p is recovered exactly (e = (1−a)−p, both
-// subtractions exact by Sterbenz's lemma) and log(1−p) = log(a+e) is
-// corrected to first order, log a + e/a: uncorrected, that error of up
-// to 2⁻⁵³ in the log becomes a relative error of (m−1)·2⁻⁵³ in
-// (1−p)^(m−1), 10⁻¹¹ at m = 10⁵.
+// implementation and dominates profiles of the skip kernel, so log1m
+// splits [0, 1) into three bands, each within a few ulps of log(1−p):
+//
+//   - p ≤ 10⁻⁴: a short series, relative error below 1e-17.
+//   - 10⁻⁴ < p ≤ 1/16: log(1−p) = −2·atanh(z) with z = p/(2−p) ≤ 1/31,
+//     one division and a series in z² whose first omitted term is below
+//     10⁻¹⁹ of the result.
+//   - p > 1/16: math.Log(a) with a = 1−p. The rounding error e of a is
+//     recovered exactly (e = (1−a)−p, both subtractions exact by
+//     Sterbenz's lemma) and log(1−p) = log(a+e) is corrected to first
+//     order, log a + e/a: uncorrected, that error of up to 2⁻⁵³ in the
+//     log becomes a relative error of (m−1)·2⁻⁵³ in (1−p)^(m−1).
 func log1m(p float64) float64 {
-	if p > 1e-4 {
+	switch {
+	case p > 1.0/16:
 		a := 1 - p
 		return math.Log(a) + ((1-a)-p)/a
+	case p > 1e-4:
+		z := p / (2 - p)
+		z2 := z * z
+		return -2 * z * (1 + z2*(1.0/3+z2*(1.0/5+z2*(1.0/7+z2*(1.0/9+z2*(1.0/11))))))
 	}
 	return -p * (1 + p*(0.5+p*(1.0/3+p*0.25)))
 }
@@ -53,7 +61,11 @@ func expNeg(y float64) float64 {
 	}
 	i := int(y * expKnots)
 	r := y - float64(i)/expKnots
-	p := 1 - r*(1-r*(1.0/2-r*(1.0/6-r*(1.0/24-r*(1.0/120-r*(1.0/720-r*(1.0/5040)))))))
+	// Estrin's scheme: the four coefficient pairs, r² and r⁴ do not wait
+	// on each other, so the longest dependency chain is four
+	// multiply-adds instead of Horner's seven.
+	r2 := r * r
+	p := (1 - r + r2*(1.0/2-r*(1.0/6))) + r2*r2*(1.0/24-r*(1.0/120)+r2*(1.0/720-r*(1.0/5040)))
 	return expTable[i] * p
 }
 

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math"
+	"math/big"
 	"testing"
 
 	"repro/internal/stats"
@@ -117,6 +118,69 @@ func TestSuccessProbFastPath(t *testing.T) {
 		}
 	}
 	t.Logf("worst relative error %.3g", worst)
+}
+
+// bigLog1m returns log(1−p) rounded to float64 from a 256-bit
+// evaluation of −2·atanh(z), z = p/(2−p): p and 2−p are exact at that
+// precision, and the series Σ z^(2j+1)/(2j+1) runs until its terms fall
+// under 2⁻²⁶⁰ of z.
+func bigLog1m(p float64) float64 {
+	const prec = 256
+	newF := func() *big.Float { return new(big.Float).SetPrec(prec) }
+	pb := newF().SetFloat64(p)
+	z := newF().Quo(pb, newF().Sub(newF().SetInt64(2), pb))
+	z2 := newF().Mul(z, z)
+	eps := newF().SetMantExp(z, -260)
+	sum, pow, term := newF(), newF().Set(z), newF()
+	for j := int64(0); ; j++ {
+		term.Quo(pow, newF().SetInt64(2*j+1))
+		sum.Add(sum, term)
+		if term.Cmp(eps) < 0 {
+			break
+		}
+		pow.Mul(pow, z2)
+	}
+	f, _ := sum.Mul(sum, newF().SetInt64(-2)).Float64()
+	return f
+}
+
+// ulpErr returns |got−want| in units of the spacing of floats at want.
+func ulpErr(got, want float64) float64 {
+	a := math.Abs(want)
+	return math.Abs(got-want) / (math.Nextafter(a, math.Inf(1)) - a)
+}
+
+// TestLog1mAccuracy holds log1m within 4 ulps of a math/big reference
+// over the atanh band (10⁻⁴, 1/16], log-spaced, and on both sides of
+// each band edge, with a sample of the series and math.Log bands.
+func TestLog1mAccuracy(t *testing.T) {
+	t.Parallel()
+	var ps []float64
+	const n = 20000
+	for i := 0; i <= n; i++ {
+		// 10⁻⁴ … 1/16, then sparser below and above.
+		ps = append(ps, 1e-4*math.Pow(625, float64(i)/n))
+	}
+	for i := 0; i <= 200; i++ {
+		ps = append(ps, 1e-9*math.Pow(1e5, float64(i)/200), 1.0/16+(0.9-1.0/16)*float64(i)/200)
+	}
+	for _, edge := range []float64{1e-4, 1.0 / 16} {
+		lo, hi := edge, edge
+		for i := 0; i < 64; i++ {
+			ps = append(ps, lo, hi)
+			lo, hi = math.Nextafter(lo, 0), math.Nextafter(hi, 1)
+		}
+	}
+	worst := 0.0
+	for _, p := range ps {
+		got, want := log1m(p), bigLog1m(p)
+		if e := ulpErr(got, want); e > 4 {
+			t.Fatalf("log1m(%v) = %v, want %v (%.2f ulp)", p, got, want, e)
+		} else if e > worst {
+			worst = e
+		}
+	}
+	t.Logf("worst error %.2f ulp over %d points", worst, len(ps))
 }
 
 // chiSquareCrit is the chi-square quantile at upper-tail probability

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/rng"
 )
@@ -11,10 +12,10 @@ import (
 // the singleton bins are deliveries. Three exact samplers cover the three
 // regimes:
 //
-//   - stepByBall, O(m): sample each ball's bin, two bins per random word
-//     (binPair). A bounded uniform costs roughly a tenth of a binomial
-//     draw (which pays an exp and a log for its q^n factor), so this wins
-//     up to m ≈ ballBinCostRatio·w.
+//   - stepByBall, O(m + w/64): sample each ball's bin, two bins per
+//     random word (binPair), into a two-plane bitmap. A bounded uniform
+//     costs roughly a tenth of a binomial draw (which pays an exp and a
+//     log for its q^n factor), so this wins up to m ≈ ballBinCostRatio·w.
 //
 //   - stepByBin, O(w): sample occupancies in slot order via the binomial
 //     chain N_j ~ Binomial(remaining, 1/(w−j+1)). Cheapest when m ≫ w
@@ -60,11 +61,13 @@ const (
 )
 
 // Window samples windowed-protocol windows. The zero value is ready to
-// use; reusing one across executions amortizes the O(max window) scratch
-// of the ball-by-ball branch.
+// use; reusing one across executions amortizes the ball-by-ball
+// branch's occupancy map, w/32 bytes for the largest window w.
 type Window struct {
-	counts  []int32 // per-bin occupancy scratch for the ball-by-ball branch
-	touched []int32 // bins touched in this window, for O(m) reset
+	// planes is the ball-by-ball occupancy map: for each 64 bins, a word
+	// with bit b set once bin b holds a ball and, next to it, a word with
+	// bit b set once it holds two. All zero between windows.
+	planes []uint64
 }
 
 // Step throws m balls into w bins and returns the number of singleton
@@ -89,39 +92,39 @@ func (o *Window) Step(m, w int, src *rng.Rand) (delivered, last int) {
 }
 
 // stepByBall samples each ball's bin: O(m) uniforms, two per random word
-// (binPair). Used when m is not much larger than w. Correct for any
+// (binPair), marked in the two-plane occupancy map, then one pass over
+// its w/64 word pairs counts the bins hit once (once &^ twice) and
+// clears the map. Used when m is not much larger than w. Correct for any
 // m, w ≥ 1.
 func (o *Window) stepByBall(m, w int, src *rng.Rand) (delivered, last int) {
-	if cap(o.counts) < w {
-		o.counts = make([]int32, w)
+	words := 2 * ((w + 63) / 64)
+	if cap(o.planes) < words {
+		o.planes = make([]uint64, words)
 	}
-	counts := o.counts[:w]
-	o.touched = o.touched[:0]
+	planes := o.planes[:words]
 	for i := 0; i < m; i += 2 {
 		b0, b1 := binPair(src, uint64(w))
-		o.throw(counts, int32(b0))
+		throw(planes, b0)
 		if i+1 < m { // odd m: the last pair's second bin goes unused
-			o.throw(counts, int32(b1))
+			throw(planes, b1)
 		}
 	}
-	for _, b := range o.touched {
-		if counts[b] == 1 {
-			delivered++
-			if int(b)+1 > last {
-				last = int(b) + 1
-			}
+	for j := 0; j < len(planes); j += 2 {
+		if single := planes[j] &^ planes[j+1]; single != 0 {
+			delivered += bits.OnesCount64(single)
+			last = 32*j + 64 - bits.LeadingZeros64(single)
 		}
-		counts[b] = 0
+		planes[j], planes[j+1] = 0, 0
 	}
 	return delivered, last
 }
 
-// throw lands one ball in bin b.
-func (o *Window) throw(counts []int32, b int32) {
-	if counts[b] == 0 {
-		o.touched = append(o.touched, b)
-	}
-	counts[b]++
+// throw lands one ball in bin b: a bin already hit once is now hit twice.
+func throw(planes []uint64, b uint64) {
+	pair := planes[2*(b/64) : 2*(b/64)+2]
+	bit := uint64(1) << (b % 64)
+	pair[1] |= pair[0] & bit
+	pair[0] |= bit
 }
 
 // binPair returns two independent uniform bins in [0, w), w ≥ 1, from one
@@ -142,7 +145,7 @@ func binPair(src *rng.Rand, w uint64) (uint64, uint64) {
 // binPairSlow finishes binPair from the word x: it runs the full Lemire
 // rejection over the halves of x and, as needed, of further words, and
 // returns the first two accepted bins. Windows of 2³¹ bins or more
-// (beyond the int32 bin index) draw each bin with Uint64n instead.
+// draw each bin with Uint64n instead.
 func binPairSlow(src *rng.Rand, w, x uint64) (uint64, uint64) {
 	if w >= 1<<31 {
 		return src.Uint64n(w), src.Uint64n(w)

@@ -283,3 +283,54 @@ func TestBinPairWordSplit(t *testing.T) {
 		}
 	}
 }
+
+// refStepByBall is the ball-by-ball sampler kept as a plain per-bin
+// count: the same binPair draws, counted in an int32 per bin.
+func refStepByBall(m, w int, src *rng.Rand) (delivered, last int) {
+	counts := make([]int32, w)
+	for i := 0; i < m; i += 2 {
+		b0, b1 := binPair(src, uint64(w))
+		counts[b0]++
+		if i+1 < m {
+			counts[b1]++
+		}
+	}
+	for b, c := range counts {
+		if c == 1 {
+			delivered++
+			last = b + 1
+		}
+	}
+	return delivered, last
+}
+
+// TestStepByBallMatchesCounts: the bit-plane occupancy map returns the
+// per-bin count reference's (delivered, last) on the same stream, for
+// widths on both sides of a word boundary, odd and even m up to 12·w,
+// and one Window reused across growing and shrinking windows, so stale
+// bits left in its scratch would show.
+func TestStepByBallMatchesCounts(t *testing.T) {
+	t.Parallel()
+	var win Window
+	srcA, srcB := rng.New(13), rng.New(13)
+	widths := []int{1, 2, 63, 64, 65, 127, 4097, 100_003, 64, 1, 4097, 65, 2}
+	for _, w := range widths {
+		ms := []int{1, 2, 3, w / 2, w/2 + 1, w - 1, w, w + 1, 2*w + 1, 12*w - 1, 12 * w}
+		if w > 5000 {
+			ms = []int{1, 2, 3, w / 10, w/10 + 1, w, w + 1, 12 * w}
+		}
+		for _, m := range ms {
+			if m < 1 {
+				continue
+			}
+			dA, lA := win.stepByBall(m, w, srcA)
+			dB, lB := refStepByBall(m, w, srcB)
+			if dA != dB || lA != lB {
+				t.Fatalf("m=%d w=%d: (delivered, last) = (%d, %d), reference (%d, %d)", m, w, dA, lA, dB, lB)
+			}
+		}
+	}
+	if a, b := srcA.Uint64(), srcB.Uint64(); a != b {
+		t.Fatalf("streams diverged: next words %#x and %#x", a, b)
+	}
+}
