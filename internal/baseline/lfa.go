@@ -158,7 +158,7 @@ func (l *LogFailsAdaptive) Prob(slot uint64) float64 {
 // at a doubling of κ̃, so that after long silence the estimator climbs
 // geometrically instead of jumping arbitrarily far past the density.
 func (l *LogFailsAdaptive) flush() {
-	l.kappa += math.Min(l.pending, l.kappa)
+	l.kappa += min(l.pending, l.kappa)
 	l.pending = 0
 	l.fails = 0
 }
@@ -178,7 +178,7 @@ func (l *LogFailsAdaptive) Observe(slot uint64, success bool) {
 	if success {
 		l.sigma++
 		l.flush()
-		l.kappa = math.Max(l.kappa-(1+l.xiDelta)*(lfaDelta+1), lfaDelta+1)
+		l.kappa = max(l.kappa-(1+l.xiDelta)*(lfaDelta+1), lfaDelta+1)
 		return
 	}
 	l.fails++

@@ -30,24 +30,21 @@ func (l *LogFailsAdaptive) countBT(a, b uint64) uint64 {
 }
 
 // SkipPhase implements protocol.SkipController.
-func (l *LogFailsAdaptive) SkipPhase(slot uint64) protocol.SkipPhase {
+func (l *LogFailsAdaptive) SkipPhase(slot uint64, ph *protocol.SkipPhase) {
 	// The probabilities hold until the patience flush fires, which happens
 	// while observing the (patience − fails)-th quiet slot from here.
-	end := slot + (l.patience - l.fails) - 1
-	ph := protocol.SkipPhase{
-		End:         end,
-		Period:      l.btEvery,
-		SpecialProb: l.btProb,
-		RegularLo:   1 / l.kappa,
-		RegularHi:   1 / l.kappa,
-	}
+	ph.End = slot + (l.patience - l.fails) - 1
+	ph.Period = l.btEvery
+	ph.SpecialResidue = 0
+	ph.SpecialProb = l.btProb
+	at := 1 / l.kappa
 	if l.btEvery == 1 {
 		// Every slot is a BT-step: a single constant class, which the
 		// contract represents as Period 1 with regular bounds.
-		ph.RegularLo = l.btProb
-		ph.RegularHi = l.btProb
+		at = l.btProb
 	}
-	return ph
+	ph.RegularLo = at
+	ph.RegularHi = at
 }
 
 // ProbQuiet implements protocol.SkipController. Nothing Prob reads changes

@@ -99,12 +99,12 @@ func (o *OneFailAdaptive) Observe(slot uint64, success bool) {
 		return
 	}
 	o.sigma++
-	o.btp = 1 / (1 + math.Log2(float64(o.sigma)+1))
+	o.btp = btProbOf(o.sigma)
 	dec := o.delta
 	if atStep {
 		dec = o.delta + 1
 	}
-	o.kappa = math.Max(o.kappa-dec, o.delta+1)
+	o.kappa = max(o.kappa-dec, o.delta+1)
 }
 
 // RoundingMode selects how Exp Back-on/Back-off materializes its

@@ -41,7 +41,7 @@ func (o *OneFailAdaptive) btProb() float64 {
 }
 
 // SkipPhase implements protocol.SkipController.
-func (o *OneFailAdaptive) SkipPhase(slot uint64) protocol.SkipPhase {
+func (o *OneFailAdaptive) SkipPhase(slot uint64, ph *protocol.SkipPhase) {
 	span := uint64(o.kappa) / 8
 	if span < 64 {
 		span = 64
@@ -51,14 +51,12 @@ func (o *OneFailAdaptive) SkipPhase(slot uint64) protocol.SkipPhase {
 	// [cursor, s) only, so the last regular slot of the phase sees at
 	// most countOdd(slot, end) increments beyond the current κ̃.
 	kappaEnd := o.kappa + float64(countOdd(slot, end))
-	return protocol.SkipPhase{
-		End:            end,
-		Period:         2,
-		SpecialResidue: 0, // even slots are BT-steps
-		SpecialProb:    o.btProb(),
-		RegularLo:      1 / kappaEnd,
-		RegularHi:      1 / o.kappa,
-	}
+	ph.End = end
+	ph.Period = 2
+	ph.SpecialResidue = 0 // even slots are BT-steps
+	ph.SpecialProb = o.btProb()
+	ph.RegularLo = 1 / kappaEnd
+	ph.RegularHi = 1 / o.kappa
 }
 
 // ProbQuiet implements protocol.SkipController: the probability at slot s

@@ -179,8 +179,9 @@ func FairRun(k int, ctrl protocol.SkipController, src *rng.Rand, maxSlots uint64
 		return 0, nil
 	}
 	slot := uint64(1)
+	var ph protocol.SkipPhase
 	for slot <= maxSlots {
-		ph := ctrl.SkipPhase(slot)
+		ctrl.SkipPhase(slot, &ph)
 		end := ph.End
 		if end < slot {
 			end = slot

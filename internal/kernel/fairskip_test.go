@@ -6,6 +6,9 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/baseline"
+	"repro/internal/core"
+	"repro/internal/nocd"
 	"repro/internal/protocol"
 	"repro/internal/rng"
 )
@@ -84,13 +87,13 @@ func (c *constCtrl) SkipTo(s uint64) {
 		c.cursor = s
 	}
 }
-func (c *constCtrl) SkipPhase(slot uint64) protocol.SkipPhase {
-	return protocol.SkipPhase{
-		End:       slot + c.span - 1,
-		Period:    1, // no special class
-		RegularLo: c.p,
-		RegularHi: c.p,
-	}
+func (c *constCtrl) SkipPhase(slot uint64, ph *protocol.SkipPhase) {
+	ph.End = slot + c.span - 1
+	ph.Period = 1 // no special class
+	ph.SpecialResidue = 0
+	ph.SpecialProb = 0
+	ph.RegularLo = c.p
+	ph.RegularHi = c.p
 }
 
 // TestFairRunConstantController: with constant per-slot probability p and
@@ -179,16 +182,14 @@ func (c *phaseCtrl) ProbQuiet(s uint64) float64 {
 	return c.hi
 }
 func (c *phaseCtrl) SkipTo(uint64) {}
-func (c *phaseCtrl) SkipPhase(slot uint64) protocol.SkipPhase {
+func (c *phaseCtrl) SkipPhase(slot uint64, ph *protocol.SkipPhase) {
 	c.end = slot + c.span - 1
-	return protocol.SkipPhase{
-		End:            c.end,
-		Period:         3,
-		SpecialResidue: 1,
-		SpecialProb:    c.special,
-		RegularLo:      c.lo,
-		RegularHi:      c.hi,
-	}
+	ph.End = c.end
+	ph.Period = 3
+	ph.SpecialResidue = 1
+	ph.SpecialProb = c.special
+	ph.RegularLo = c.lo
+	ph.RegularHi = c.hi
 }
 
 // TestFairRunStaysInPhase: after every rejected thinning candidate the
@@ -230,6 +231,53 @@ func TestFairRunZeroK(t *testing.T) {
 	slots, err := FairRun(0, ctrl, rng.New(3), 1000)
 	if err != nil || slots != 0 {
 		t.Errorf("FairRun(0) = (%d, %v), want (0, nil)", slots, err)
+	}
+}
+
+// TestSkipPhaseFillsEveryField: FairRun reuses one SkipPhase for a whole
+// run, so every implementer must assign all six fields. A fill over
+// sentinel values must equal a fill into a zero value, at every cursor
+// along a slot-by-slot run with successes.
+func TestSkipPhaseFillsEveryField(t *testing.T) {
+	t.Parallel()
+	must := func(c protocol.SkipController, err error) protocol.SkipController {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	patience := baseline.WithLFAPatience(9)
+	for _, tt := range []struct {
+		name string
+		ctrl protocol.SkipController
+	}{
+		{"ofa", must(core.NewOneFailAdaptive(core.DefaultOFADelta))},
+		{"lfa_xiT=1/2", must(baseline.NewLogFailsAdaptive(0.01, 0.5, patience))},
+		{"lfa_xiT=1/10", must(baseline.NewLogFailsAdaptive(0.01, 0.1, patience))},
+		{"lfa_btEvery=1", must(baseline.NewLogFailsAdaptive(0.01, 0.9, patience))},
+		{"cascade", must(nocd.NewCascade(2))},
+		{"robust-ladder", must(nocd.NewRobustLadder(3))},
+		{"constCtrl", &constCtrl{p: 0.25, cursor: 1, span: 5}},
+		{"phaseCtrl", &phaseCtrl{span: 7, special: 0.02, lo: 0.002, hi: 0.5}},
+	} {
+		for slot := uint64(1); slot <= 300; slot++ {
+			var zero protocol.SkipPhase
+			tt.ctrl.SkipPhase(slot, &zero)
+			stale := protocol.SkipPhase{
+				End:            math.MaxUint64 - 3,
+				Period:         12345,
+				SpecialResidue: 777,
+				SpecialProb:    -1.5,
+				RegularLo:      -2.5,
+				RegularHi:      -3.5,
+			}
+			tt.ctrl.SkipPhase(slot, &stale)
+			if stale != zero {
+				t.Fatalf("%s slot %d: fill over stale fields %+v, fill into zero %+v", tt.name, slot, stale, zero)
+			}
+			tt.ctrl.Prob(slot)
+			tt.ctrl.Observe(slot, slot%11 == 0)
+		}
 	}
 }
 

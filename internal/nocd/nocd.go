@@ -137,13 +137,14 @@ func (c *Cascade) Observe(slot uint64, success bool) {
 // SkipPhase implements protocol.SkipController: the phase is the
 // remainder of the current level, over which the probability is one
 // constant.
-func (c *Cascade) SkipPhase(slot uint64) protocol.SkipPhase {
+func (c *Cascade) SkipPhase(slot uint64, ph *protocol.SkipPhase) {
 	c.advanceTo(slot)
-	return protocol.SkipPhase{
-		End:       c.levelEnd,
-		RegularLo: c.prob,
-		RegularHi: c.prob,
-	}
+	ph.End = c.levelEnd
+	ph.Period = 0
+	ph.SpecialResidue = 0
+	ph.SpecialProb = 0
+	ph.RegularLo = c.prob
+	ph.RegularHi = c.prob
 }
 
 // ProbQuiet implements protocol.SkipController. Within a phase the
@@ -271,13 +272,14 @@ func (l *RobustLadder) Observe(slot uint64, success bool) {
 // the quiet clock would hit the patience threshold (the slot whose
 // quiet observation steps the level up), over one constant
 // probability.
-func (l *RobustLadder) SkipPhase(slot uint64) protocol.SkipPhase {
+func (l *RobustLadder) SkipPhase(slot uint64, ph *protocol.SkipPhase) {
 	p := l.prob()
-	return protocol.SkipPhase{
-		End:       slot + (l.threshold() - l.quiet) - 1,
-		RegularLo: p,
-		RegularHi: p,
-	}
+	ph.End = slot + (l.threshold() - l.quiet) - 1
+	ph.Period = 0
+	ph.SpecialResidue = 0
+	ph.SpecialProb = 0
+	ph.RegularLo = p
+	ph.RegularHi = p
 }
 
 // ProbQuiet implements protocol.SkipController. Within a phase the

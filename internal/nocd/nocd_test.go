@@ -187,8 +187,9 @@ func TestRobustLadderSkipMatchesObserve(t *testing.T) {
 	// Drive skipped the way kernel.FairRun does: fetch a phase, jump to
 	// the first success inside it or to the slot past its end.
 	slot := uint64(1)
+	var ph protocol.SkipPhase
 	for slot <= last {
-		ph := skipped.SkipPhase(slot)
+		skipped.SkipPhase(slot, &ph)
 		var hit uint64
 		for c := slot; c <= ph.End && c <= last; c++ {
 			if successes[c] {

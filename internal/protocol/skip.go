@@ -70,9 +70,16 @@ type SkipPhase struct {
 type SkipController interface {
 	Controller
 
-	// SkipPhase returns a phase description starting at the cursor
-	// (slot == cursor). The returned End must be ≥ slot.
-	SkipPhase(slot uint64) SkipPhase
+	// SkipPhase fills ph with the phase starting at the cursor (slot ==
+	// cursor). It must assign every field of ph: the kernel reuses one
+	// SkipPhase for a whole run, so a field left alone would carry the
+	// previous phase's value. The filled End must be ≥ slot.
+	//
+	// Assign the fields one at a time rather than as *ph = SkipPhase{…}:
+	// the composite literal is built on the stack with 8-byte stores and
+	// copied out with 16-byte loads that straddle them, which stalls
+	// store forwarding once per phase.
+	SkipPhase(slot uint64, ph *SkipPhase)
 
 	// ProbQuiet returns the probability the controller would use in slot
 	// s — equal to what Prob(s) would return after observing failures for

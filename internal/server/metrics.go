@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -46,13 +45,7 @@ type metrics struct {
 	forwarded atomic.Int64 // submits proxied to the key's owning peer
 	owned     atomic.Int64 // submits this node handled as the key's owner
 
-	// Scrape state for the slots/sec rate: the rate is measured between
-	// consecutive scrapes (the usual counter-delta a scraper would
-	// compute, precomputed for human readers and the load generator).
-	scrapeMu   sync.Mutex
-	lastScrape time.Time
-	lastSlots  int64
-	started    time.Time
+	started time.Time // server start, the origin of the slots/sec rate
 }
 
 // hitRate returns cache hits / (hits + fresh enqueues): the fraction of
@@ -68,23 +61,16 @@ func (m *metrics) hitRate() float64 {
 	return float64(hits) / float64(total)
 }
 
-// slotsPerSecond returns the slots-simulated rate since the previous
-// scrape (since start for the first scrape).
+// slotsPerSecond returns the slots simulated per second of uptime. It
+// reads no scrape state, so concurrent scrapers all see the same rate;
+// a scraper that wants the rate over its own interval differentiates
+// macsimd_slots_simulated_total instead.
 func (m *metrics) slotsPerSecond(now time.Time) float64 {
-	m.scrapeMu.Lock()
-	defer m.scrapeMu.Unlock()
-	slots := m.slotsSimulated.Load()
-	since := m.started
-	base := int64(0)
-	if !m.lastScrape.IsZero() {
-		since, base = m.lastScrape, m.lastSlots
-	}
-	m.lastScrape, m.lastSlots = now, slots
-	dt := now.Sub(since).Seconds()
+	dt := now.Sub(m.started).Seconds()
 	if dt <= 0 {
 		return 0
 	}
-	return float64(slots-base) / dt
+	return float64(m.slotsSimulated.Load()) / dt
 }
 
 // render writes the exposition text. Gauges that live outside the
@@ -119,7 +105,7 @@ func (m *metrics) render(now time.Time, gauges map[string]float64) string {
 	counter("macsimd_forwarded_total", "submissions proxied to the key's owning peer", m.forwarded.Load())
 	counter("macsimd_owned_total", "submissions this node handled as the key's ring owner", m.owned.Load())
 	gauge("macsimd_cache_hit_rate", "cache hits / (hits + misses)", m.hitRate())
-	gauge("macsimd_slots_simulated_per_second", "slots simulated per second since the previous scrape", m.slotsPerSecond(now))
+	gauge("macsimd_slots_simulated_per_second", "slots simulated per second of uptime (slots since start / uptime)", m.slotsPerSecond(now))
 	// Deterministic order for the caller-supplied gauges.
 	names := make([]string, 0, len(gauges))
 	for name := range gauges {

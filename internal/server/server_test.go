@@ -540,6 +540,21 @@ func TestMetricsExposition(t *testing.T) {
 	metricValue(t, ts.URL, "macsimd_slots_simulated_per_second")
 }
 
+// TestMetricsSlotsRateScrapeIndependent: the slots/sec gauge is slots
+// since start over uptime, so a scrape does not change what the next
+// scrape at the same instant reads.
+func TestMetricsSlotsRateScrapeIndependent(t *testing.T) {
+	var m metrics
+	m.started = time.Unix(1000, 0)
+	m.slotsSimulated.Add(5000)
+	now := m.started.Add(4 * time.Second)
+	const line = "\nmacsimd_slots_simulated_per_second 1250\n"
+	first, second := m.render(now, nil), m.render(now, nil)
+	if !strings.Contains(first, line) || !strings.Contains(second, line) {
+		t.Fatalf("two scrapes at the same instant, want both to contain %q:\n%s\n---\n%s", line, first, second)
+	}
+}
+
 func TestJobViewTimestamps(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{}, false)
 	_, sub := post(t, ts.URL+"/v1/solve", `{"k":60,"seed":9}`)
